@@ -38,8 +38,8 @@ from repro.compression.base import GradientCodec
 from repro.distributed.network import PerfectNetwork
 from repro.distributed.server import ParameterServer
 from repro.distributed.worker import HonestWorker, compute_cohort
-from repro.exceptions import ConfigurationError, DegradedRunError
-from repro.faults.apply import apply_wire_faults, reset_absent_momentum
+from repro.exceptions import ConfigurationError
+from repro.faults.apply import inject_round_faults, zero_worker_momentum
 from repro.faults.plan import ResolvedFaultPlan
 from repro.typing import Matrix, Vector
 
@@ -250,37 +250,28 @@ class Cluster:
     def _apply_faults(
         self, submitted, clean, row_bytes=None, telemetry=None
     ) -> tuple[int, ...]:
-        """Apply this round's scheduled faults, in place.
+        """Apply this round's scheduled faults, in place
+        (:func:`repro.faults.apply.inject_round_faults`).
 
-        Zeroes absent/dropped rows, scales corrupted rows, clears the
-        momentum of absent workers, and zeroes absent rows' wire bytes
-        (a dead worker sent nothing).  Publishes ``last_live_workers``
-        so the loop excludes absent workers from the honest loss mean —
-        the exact rows the multiprocess chief drops from the plane's
-        loss vector.  Raises :class:`DegradedRunError` when the plan
-        leaves no honest worker live.
+        Clears the momentum buffers of absent workers and publishes
+        ``last_live_workers`` so the loop excludes absent workers from
+        the honest loss mean — the exact rows the multiprocess chief
+        drops from the plane's loss vector.
         """
-        resolved = self._faults
-        live = resolved.live_workers(self._step)
-        if not live:
-            raise DegradedRunError(
-                f"round {self._step}: every honest worker has departed under "
-                "the fault plan; refusing to aggregate attack-only submissions"
-            )
-        zeroed, corrupted = apply_wire_faults(resolved, self._step, submitted, clean)
-        absent = reset_absent_momentum(resolved, self._step, self._honest_workers)
-        if row_bytes is not None:
-            for worker in sorted(absent):
-                row_bytes[worker] = 0
+        live = inject_round_faults(
+            self._faults,
+            self._step,
+            submitted,
+            clean,
+            self._reset_absent_momentum,
+            row_bytes,
+            telemetry,
+        )
         self.last_live_workers = live
-        if telemetry is not None and (zeroed or corrupted):
-            telemetry.counter(
-                "fault.injected",
-                len(zeroed) + len(corrupted),
-                zeroed=sorted(zeroed),
-                corrupted=sorted(corrupted),
-            )
         return live
+
+    def _reset_absent_momentum(self, absent) -> None:
+        zero_worker_momentum(self._honest_workers, absent)
 
     @property
     def engine(self):

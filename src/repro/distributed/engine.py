@@ -27,7 +27,13 @@ rounds that remove that overhead without changing a single output bit:
   instead of per-round defensive copies;
 * **opt-in instrumentation** — :class:`StepResult` matrix payloads are
   produced only under ``record=True``; the default training path copies
-  nothing it does not report.
+  nothing it does not report;
+* **faults as a round stage** — a fault plan's outages are known in
+  advance (:class:`repro.faults.plan.ResolvedFaultPlan`), so fault runs
+  keep the block pre-draw: each round applies its scheduled faults
+  between the codec and the attack through the same
+  :func:`repro.faults.apply.inject_round_faults` that ``Cluster.step``
+  calls, clearing absent workers' rows of the momentum stacks.
 
 Every elementary float operation happens in the same order as the
 per-round path, so fused execution is *bit-identical* to
@@ -37,11 +43,17 @@ not cover (per-example clipping, custom worker/sampler/mechanism
 subclasses, heterogeneous cohorts) simply report
 ``supports_fused == False`` and the caller steps per round; correctness
 never depends on the fast path.
+
+The engine holds only a weak reference to its cluster (the cluster owns
+the engine), so a finished cluster — and with it the engine's
+preallocated buffers — is freed as soon as the last outside reference
+goes, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 
 import numpy as np
 
@@ -51,6 +63,7 @@ from repro.distributed.cluster import Cluster, StepResult
 from repro.distributed.server import ParameterServer
 from repro.distributed.worker import HonestWorker
 from repro.exceptions import ConfigurationError
+from repro.faults.apply import inject_round_faults
 from repro.metrics.history import TrainingHistory
 from repro.models.base import Model
 from repro.optim.sgd import SGDOptimizer
@@ -93,6 +106,11 @@ class _PhaseLap:
         self.acc[name] = self.acc.get(name, 0) + (now - self.t)
         self.t = now
 
+    def skip(self) -> None:
+        """Restart the lap without charging any phase (time outside the
+        spans, like the per-round path's fault stage)."""
+        self.t = time.perf_counter_ns()
+
 
 def default_block_rounds(
     num_workers: int, dimension: int, batch_size: int, num_noised: int
@@ -113,7 +131,10 @@ class RoundEngine:
     """
 
     def __init__(self, cluster):
-        self._cluster = cluster
+        # The cluster owns this engine; a strong back-reference would
+        # make a cycle that keeps a finished cluster (and these buffers)
+        # alive until the next cyclic collection.
+        self._cluster_ref = weakref.ref(cluster)
         self._workers = list(cluster._honest_workers)
         self._server = cluster._server
         self._network = cluster._network
@@ -121,19 +142,16 @@ class RoundEngine:
         self._attack_rng = cluster._attack_rng
         self._num_byzantine = cluster._num_byzantine
         self._codec = cluster._codec
-        self._reason = self._probe()
+        self._faults = cluster._faults
+        self._reason = self._probe(cluster)
         self._buffers_ready = False
 
     # ------------------------------------------------------------------
     # eligibility
     # ------------------------------------------------------------------
 
-    def _probe(self) -> str | None:
+    def _probe(self, cluster) -> str | None:
         """Why the fused path cannot run, or ``None`` when it can."""
-        if getattr(self._cluster, "_faults", None) is not None:
-            # Fault plans zero rows and momentum per round; the fused
-            # block pipeline has no per-round injection point.
-            return "a fault plan is active (faults apply per round)"
         workers = self._workers
         for worker in workers:
             cls = type(worker)
@@ -173,8 +191,8 @@ class RoundEngine:
         streams = {id(generator.bit_generator) for generator in consumed}
         if len(streams) != len(consumed):
             return "workers share RNG streams"
-        if type(self._cluster).step is not Cluster.step:
-            return f"cluster {type(self._cluster).__name__} overrides step"
+        if type(cluster).step is not Cluster.step:
+            return f"cluster {type(cluster).__name__} overrides step"
         model = workers[0]._model
         if any(w._model is not model for w in workers):
             return "heterogeneous cohort models"
@@ -357,6 +375,14 @@ class RoundEngine:
             self._momenta_col = self._momenta[:, None]
         self._buffers_ready = True
 
+    def _reset_absent_momentum(self, absent) -> None:
+        """Zero absent workers' rows of the momentum stacks (the fused
+        counterpart of clearing their per-worker buffers)."""
+        if self._any_momentum and absent:
+            rows = sorted(absent)
+            self._velocity_submitted[rows] = 0.0
+            self._velocity_clean[rows] = 0.0
+
     def _import_velocities(self) -> None:
         """Load the workers' live momentum buffers into the stacks."""
         for index, worker in enumerate(self._workers):
@@ -435,10 +461,13 @@ class RoundEngine:
             )
         self._ensure_buffers()
         workers = self._workers
+        cluster = self._cluster_ref()
+        if cluster is None:
+            raise ConfigurationError("the engine's cluster no longer exists")
         # The fused path shares the cluster's telemetry handle; when it
         # is None (the default) every observation point below folds to a
         # single `is not None` test.
-        telemetry = self._cluster._telemetry
+        telemetry = cluster._telemetry
         phase_acc: dict | None = {} if telemetry is not None else None
         if block_size is None:
             block_size = default_block_rounds(
@@ -458,13 +487,19 @@ class RoundEngine:
         # (W,) cohort losses and the whole block's means are computed
         # with one axis reduction — bit-identical to the per-round
         # ``float(np.mean(...))`` (same pairwise summation per
-        # contiguous row), pinned by the property suite.
+        # contiguous row), pinned by the property suite.  Rounds with
+        # absent workers park only their live rows; a block with such
+        # rounds takes each round's mean on its own.
         pending_losses: list[tuple[int, np.ndarray]] = []
 
         def flush_losses() -> None:
             if not pending_losses:
                 return
-            means = np.stack([losses for _, losses in pending_losses]).mean(axis=1)
+            rows = [losses for _, losses in pending_losses]
+            if all(len(losses) == len(rows[0]) for losses in rows):
+                means = np.stack(rows).mean(axis=1)
+            else:
+                means = [np.mean(losses) for losses in rows]
             for (step, _), mean in zip(pending_losses, means):
                 history.record_loss(step, float(mean))
             pending_losses.clear()
@@ -479,7 +514,7 @@ class RoundEngine:
                     self._dropped_before = getattr(
                         self._network, "dropped_total", None
                     )
-                    self._wire_bytes_before = self._cluster._bytes_on_wire_total
+                    self._wire_bytes_before = cluster._bytes_on_wire_total
                     predraw_started = time.perf_counter_ns()
                 # Blockwise pre-draw: every worker's private streams are
                 # consumed exactly as the per-round path would, just all
@@ -511,6 +546,7 @@ class RoundEngine:
                 for r in range(rounds):
                     is_last = remaining == rounds and r == rounds - 1
                     round_result = self._fused_round(
+                        cluster,
                         index_blocks,
                         block_indices,
                         noise_blocks,
@@ -519,13 +555,14 @@ class RoundEngine:
                         pending_losses if history is not None else None,
                         record=record,
                         build_result=is_last,
+                        telemetry=telemetry,
                         phase_acc=phase_acc,
                     )
                     if round_result is not None:
                         result = round_result
                 flush_losses()
                 if telemetry is not None:
-                    self._emit_block_telemetry(telemetry, rounds, phase_acc)
+                    self._emit_block_telemetry(cluster, telemetry, rounds, phase_acc)
                 remaining -= rounds
         finally:
             # Divergence can abort mid-block; worker-visible state and
@@ -537,14 +574,16 @@ class RoundEngine:
                 self._export_state()
         return result
 
-    def _emit_block_telemetry(self, telemetry, rounds: int, phase_acc: dict) -> None:
+    def _emit_block_telemetry(
+        self, cluster, telemetry, rounds: int, phase_acc: dict
+    ) -> None:
         """Flush one block's accumulated phases and counters as events.
 
         One span per phase per block (tagged with the rounds it
         covers), plus the counters the block accumulated inline.
         Emission happens *between* blocks, never inside the round loop.
         """
-        telemetry.set_step(self._cluster._step)
+        telemetry.set_step(cluster._step)
         for name in sorted(phase_acc):
             telemetry.span_ns(name, phase_acc[name], rounds=rounds)
         phase_acc.clear()
@@ -559,12 +598,13 @@ class RoundEngine:
             dropped = self._network.dropped_total - self._dropped_before
             if dropped:
                 telemetry.counter("network.dropped", dropped)
-        wire_bytes = self._cluster._bytes_on_wire_total - self._wire_bytes_before
+        wire_bytes = cluster._bytes_on_wire_total - self._wire_bytes_before
         if wire_bytes:
             telemetry.counter("wire.bytes", wire_bytes)
 
     def _fused_round(
         self,
+        cluster,
         index_blocks,
         block_indices,
         noise_blocks,
@@ -573,9 +613,9 @@ class RoundEngine:
         pending_losses: list | None,
         record: bool,
         build_result: bool,
+        telemetry=None,
         phase_acc: dict | None = None,
     ):
-        cluster = self._cluster
         workers = self._workers
         server = self._server
         num_honest = len(workers)
@@ -669,16 +709,36 @@ class RoundEngine:
         # Wire codec: encode the honest block in place (identity's
         # block fast path returns the same object, so the no-codec and
         # identity rounds execute byte-identical buffer operations).
-        round_bytes = None
+        row_bytes = None
         if self._codec is not None:
             encoded, row_bytes = self._codec.encode_block(
                 submitted, step, range(num_honest)
             )
             if encoded is not submitted:
                 submitted[:] = encoded
-            round_bytes = int(row_bytes.sum())
             if lap is not None:
                 lap.mark("round.codec")
+
+        # Faults after the codec and before the attack, as on the
+        # per-round path: the adversary observes what survived the wire.
+        live = None
+        if self._faults is not None:
+            if telemetry is not None:
+                telemetry.set_step(step)
+            live = inject_round_faults(
+                self._faults,
+                step,
+                submitted,
+                clean,
+                self._reset_absent_momentum,
+                row_bytes,
+                telemetry,
+            )
+            cluster.last_live_workers = live
+            if lap is not None:
+                lap.skip()
+
+        round_bytes = None if row_bytes is None else int(row_bytes.sum())
 
         byzantine_gradient = None
         if self._num_byzantine > 0:
@@ -740,6 +800,8 @@ class RoundEngine:
         if pending_losses is not None:
             # Parked only after a successful server update, exactly as
             # the per-round path never records a diverging round.
+            if live is not None and len(live) < num_honest:
+                losses = losses[list(live)]
             pending_losses.append((step, losses))
 
         if not build_result:

@@ -153,7 +153,11 @@ class TrainingLoop:
         callbacks = self._callbacks
         if record is None:
             record = len(callbacks) > 0 and callbacks.needs_step_matrices
-        engine = getattr(self._cluster, "engine", None)
+        # Only the in-process Cluster has a fused engine (the
+        # multiprocess runtime steps its shards per round).  Looked up
+        # explicitly: an error raised while building the engine must
+        # surface, not quietly demote the run to per-round stepping.
+        engine = self._cluster.engine if isinstance(self._cluster, Cluster) else None
         if (
             len(callbacks) == 0
             # Checkpointing snapshots per-round state the fused engine

@@ -108,7 +108,9 @@ class StderrProgressSink(Sink):
     def __init__(self, interval: float = 5.0, stream=None):
         self._interval = float(interval)
         self._stream = stream if stream is not None else sys.stderr
-        self._last_report = 0.0
+        # None = never reported: the first ordinary event always prints
+        # (time.monotonic()'s epoch is arbitrary, e.g. host boot).
+        self._last_report: float | None = None
 
     def emit(self, event: dict) -> None:
         kind = event.get("kind")
@@ -119,7 +121,7 @@ class StderrProgressSink(Sink):
             )
             return
         now = time.monotonic()
-        if now - self._last_report < self._interval:
+        if self._last_report is not None and now - self._last_report < self._interval:
             return
         self._last_report = now
         print(

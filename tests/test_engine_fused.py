@@ -677,3 +677,51 @@ class TestDivergenceThroughEngine:
             _experiment(model, train, **spec).run(callbacks=[_NoopCallback()])
         # The fused block aborts at the same round, for the same reason.
         assert type(fused_error.value) is type(slow_error.value)
+
+
+class TestEngineLifetime:
+    def test_finished_cluster_is_freed_without_a_collection(self):
+        """The engine's back-reference is weak: no cluster <-> engine
+        cycle keeps a finished cluster (and the engine's buffers) alive
+        until the next cyclic collection."""
+        import gc
+        import weakref
+
+        model, train = _environment()
+        experiment = _experiment(
+            model, train, **CONFIGS["krum-little-gaussian-momentum"]
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            experiment.run()
+            cluster = experiment.build_cluster()
+            assert cluster.engine.supports_fused
+            cluster_ref = weakref.ref(cluster)
+            engine_ref = weakref.ref(cluster.engine)
+            del cluster, experiment
+            assert cluster_ref() is None
+            assert engine_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_engine_build_errors_propagate(self, monkeypatch):
+        """An error while building the engine fails the run instead of
+        silently demoting it to per-round stepping."""
+
+        def broken(self, *args):
+            raise AttributeError("broken engine probe")
+
+        monkeypatch.setattr(RoundEngine, "_probe", broken)
+        model, train = _environment()
+        with pytest.raises(AttributeError, match="broken engine probe"):
+            _experiment(model, train, **CONFIGS["average-nodp-momentum"]).run()
+
+    def test_engine_outliving_its_cluster_refuses_to_run(self):
+        model, train = _environment()
+        experiment = _experiment(model, train, **CONFIGS["average-nodp-momentum"])
+        engine = experiment.build_cluster().engine
+        del experiment
+        with pytest.raises(ConfigurationError, match="no longer exists"):
+            engine.run(1)

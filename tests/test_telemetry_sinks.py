@@ -120,6 +120,16 @@ class TestStderrProgressSink:
         # One line at most within the interval.
         assert len(stream.getvalue().splitlines()) == 1
 
+    def test_first_event_prints_soon_after_boot(self, monkeypatch):
+        """The monotonic clock's epoch is arbitrary (host boot on Linux):
+        a clock reading below ``interval`` must not swallow line one."""
+        monkeypatch.setattr("repro.telemetry.sinks.time.monotonic", lambda: 1.0)
+        stream = io.StringIO()
+        sink = StderrProgressSink(interval=3600.0, stream=stream)
+        sink.emit(sample_event(step=1))
+        sink.emit(sample_event(seq=1, step=2))
+        assert stream.getvalue().splitlines() == ["[telemetry] chief step 1 (mark)"]
+
     def test_warnings_always_print(self):
         stream = io.StringIO()
         sink = StderrProgressSink(interval=3600.0, stream=stream)

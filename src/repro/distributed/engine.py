@@ -7,20 +7,14 @@ per-round Python and allocator overhead rather than FLOPs.
 :class:`repro.distributed.cluster.Cluster` in fused blocks of ``R``
 rounds that remove that overhead without changing a single output bit:
 
-* **blockwise RNG pre-draw** — each worker's batch indices
-  (:meth:`repro.data.batching.BatchSampler.sample_index_block`) and DP
-  noise (:meth:`repro.privacy.mechanisms.NoiseMechanism.sample_noise_block`)
-  for the whole block are drawn up front.  This is sound because every
-  worker owns private generator streams and NumPy ``Generator`` draws
-  are consumed value-by-value, so a block draw reads the identical
-  stream as the per-round draws (pinned by hypothesis properties and
-  the golden traces);
-* **preallocated round buffers** — one ``(n, d)`` wire matrix, one
-  ``(W, b, p)`` batch gather target and persistent ``(W, d)`` momentum
-  stacks are reused across every round of the run;
-* **single-pass forward/backward** — the honest-batch training loss and
-  the cohort gradients come from one
-  :meth:`repro.models.base.Model.loss_and_gradient_stack` call;
+* **the fused cohort kernel** (:class:`repro.distributed.cohort.FusedCohort`,
+  which the multiprocess runtime's shards run too) — blockwise RNG
+  pre-draw of every worker's batch indices and DP noise, warm batch
+  gather buffers, persistent ``(W, d)`` momentum stacks, and one
+  :meth:`repro.models.base.Model.loss_and_gradient_stack` pass for the
+  honest-batch training loss and the cohort gradients;
+* **preallocated wire matrix** — one ``(n, d)`` matrix, into which the
+  kernel writes the honest rows, reused across every round of the run;
 * **in-place server updates** — the optimizer writes the parameter
   buffer through :meth:`repro.optim.sgd.SGDOptimizer.step`'s ``out=``
   path, and the loop reads :attr:`ParameterServer.parameters_view`
@@ -58,30 +52,16 @@ import weakref
 import numpy as np
 
 from repro.attacks.base import AttackContext
-from repro.data.batching import BatchSampler
 from repro.distributed.cluster import Cluster, StepResult
+from repro.distributed.cohort import FusedCohort, default_block_rounds
 from repro.distributed.server import ParameterServer
-from repro.distributed.worker import HonestWorker
 from repro.exceptions import ConfigurationError
 from repro.faults.apply import inject_round_faults
 from repro.metrics.history import TrainingHistory
 from repro.models.base import Model
 from repro.optim.sgd import SGDOptimizer
-from repro.privacy.mechanisms import (
-    GaussianMechanism,
-    LaplaceMechanism,
-    NoiseMechanism,
-)
 
 __all__ = ["RoundEngine", "default_block_rounds"]
-
-#: Target footprint of one block's pre-drawn RNG buffers (noise and
-#: batch indices).  Blocks are sized so the pre-draw stays cache-warm
-#: instead of ballooning on large-d configurations.
-_BLOCK_BYTES = 8 << 20
-
-#: Hard cap on rounds per block; past this the amortisation is flat.
-_MAX_BLOCK_ROUNDS = 256
 
 
 class _PhaseLap:
@@ -112,21 +92,13 @@ class _PhaseLap:
         self.t = time.perf_counter_ns()
 
 
-def default_block_rounds(
-    num_workers: int, dimension: int, batch_size: int, num_noised: int
-) -> int:
-    """Rounds per fused block for a cohort of the given shape."""
-    per_round = 8 * (num_noised * dimension + num_workers * batch_size)
-    return int(np.clip(_BLOCK_BYTES // max(per_round, 1), 1, _MAX_BLOCK_ROUNDS))
-
-
 class RoundEngine:
     """Fused executor for a :class:`~repro.distributed.cluster.Cluster`.
 
-    Built lazily by :attr:`Cluster.engine`; holds the preallocated
-    buffers and the cohort's static configuration.  :meth:`run`
-    executes fused blocks; eligibility is a pure function of the
-    cluster's configuration, exposed as :attr:`supports_fused` /
+    Built lazily by :attr:`Cluster.engine`; holds the wire matrix and
+    the cohort kernel, and runs the aggregation half of each round.
+    :meth:`run` executes fused blocks; eligibility is a pure function of
+    the cluster's configuration, exposed as :attr:`supports_fused` /
     :attr:`fused_unsupported_reason`.
     """
 
@@ -135,7 +107,6 @@ class RoundEngine:
         # make a cycle that keeps a finished cluster (and these buffers)
         # alive until the next cyclic collection.
         self._cluster_ref = weakref.ref(cluster)
-        self._workers = list(cluster._honest_workers)
         self._server = cluster._server
         self._network = cluster._network
         self._attack = cluster._attack
@@ -143,62 +114,34 @@ class RoundEngine:
         self._num_byzantine = cluster._num_byzantine
         self._codec = cluster._codec
         self._faults = cluster._faults
+        self._num_honest = len(cluster._honest_workers)
+        self._dimension = int(cluster._server.parameters_view.shape[0])
+        self._cohort = FusedCohort(cluster._honest_workers, self._dimension)
         self._reason = self._probe(cluster)
-        self._buffers_ready = False
+        self._all_gradients = None
 
     # ------------------------------------------------------------------
     # eligibility
     # ------------------------------------------------------------------
 
     def _probe(self, cluster) -> str | None:
-        """Why the fused path cannot run, or ``None`` when it can."""
-        workers = self._workers
-        for worker in workers:
-            cls = type(worker)
-            if cls.compute is not HonestWorker.compute or cls._finish is not HonestWorker._finish:
-                return f"worker subclass {cls.__name__} overrides the pipeline"
-            sampler = worker._sampler
-            if not isinstance(sampler, BatchSampler) or (
-                type(sampler).sample is not BatchSampler.sample
-                or type(sampler).sample_indices is not BatchSampler.sample_indices
-            ):
-                return f"sampler {type(sampler).__name__} overrides sampling"
-            mechanism = worker._mechanism
-            if mechanism is not None:
-                if not isinstance(mechanism, NoiseMechanism) or (
-                    type(mechanism).privatize is not NoiseMechanism.privatize
-                ):
-                    return f"mechanism {type(mechanism).__name__} overrides privatize"
-                reason = self._probe_mechanism(mechanism)
-                if reason is not None:
-                    return reason
-            if worker._clip_mode != "batch":
-                return "per-example clipping is not fused"
-        # The blockwise pre-draw consumes each stream in one run, which
-        # only reproduces the per-round interleaving when every consumed
-        # stream is private.  A bit generator shared between any two
-        # consumed roles (sampler/noise/attack, same worker or across
-        # workers — even via distinct Generator wrappers) would be read
-        # in a different order, so such cohorts step per round.
-        # Never-consumed streams (the noise rng of a worker without a
-        # mechanism) are exempt on both paths.
-        consumed = [worker._sampler._rng for worker in workers]
-        consumed += [
-            worker._noise_rng for worker in workers if worker._mechanism is not None
-        ]
-        if self._attack_rng is not None:
-            consumed.append(self._attack_rng)
-        streams = {id(generator.bit_generator) for generator in consumed}
-        if len(streams) != len(consumed):
+        """Why the fused path cannot run, or ``None`` when it can.
+
+        The cohort's own conditions are :class:`FusedCohort`'s; the
+        engine adds the cluster-level ones.
+        """
+        reason = self._cohort.reason
+        if reason is not None:
+            return reason
+        # The attack stream is consumed in the round loop while the
+        # cohort's streams are pre-drawn, so it must be private too.
+        if (
+            self._attack_rng is not None
+            and id(self._attack_rng.bit_generator) in self._cohort.stream_ids
+        ):
             return "workers share RNG streams"
         if type(cluster).step is not Cluster.step:
             return f"cluster {type(cluster).__name__} overrides step"
-        model = workers[0]._model
-        if any(w._model is not model for w in workers):
-            return "heterogeneous cohort models"
-        reason = self._probe_model(model)
-        if reason is not None:
-            return reason
         # The in-place update path goes through ParameterServer.step's
         # in_place= branch and SGDOptimizer.step's out= branch; a
         # subclass overriding either would be bypassed (or silently
@@ -210,79 +153,6 @@ class RoundEngine:
             return (
                 f"optimizer {type(server._optimizer).__name__} overrides step"
             )
-        batch_size = workers[0]._sampler.batch_size
-        if any(w._sampler.batch_size != batch_size for w in workers):
-            return "heterogeneous batch sizes"
-        first = workers[0]._sampler.dataset
-        feature_shape = first.features.shape[1:]
-        label_shape = first.labels.shape[1:]
-        for worker in workers:
-            dataset = worker._sampler.dataset
-            if (
-                dataset.features.shape[1:] != feature_shape
-                or dataset.labels.shape[1:] != label_shape
-                or dataset.features.dtype != first.features.dtype
-                or dataset.labels.dtype != first.labels.dtype
-            ):
-                return "heterogeneous dataset shapes"
-        return None
-
-    @staticmethod
-    def _probe_mechanism(mechanism) -> str | None:
-        """Reject mechanisms whose inherited vectorized block draw would
-        bypass an overridden ``sample_noise``.
-
-        The generic :meth:`NoiseMechanism.sample_noise_block` performs
-        the sequential draws itself, so it honours any ``sample_noise``
-        override; the Gaussian/Laplace vectorized blocks are only
-        equivalent to *their own* ``sample_noise``.  A subclass that
-        overrides ``sample_noise_block`` itself owns the equivalence
-        contract (documented on the method) and is accepted.
-        """
-        cls = type(mechanism)
-        for family in (GaussianMechanism, LaplaceMechanism):
-            if (
-                cls.sample_noise_block is family.sample_noise_block
-                and cls.sample_noise is not family.sample_noise
-            ):
-                return (
-                    f"mechanism {cls.__name__} overrides sample_noise but "
-                    "inherits the vectorized block draw"
-                )
-        return None
-
-    @staticmethod
-    def _probe_model(model) -> str | None:
-        """Reject models whose inherited single-pass stack would bypass
-        overridden ``gradient_stack`` / ``loss_stack`` methods.
-
-        The base :meth:`Model.loss_and_gradient_stack` delegates to
-        ``self.loss_stack`` / ``self.gradient_stack``, so it honours any
-        override.  A model that inherits a *single-pass* implementation
-        (linear, logistic) while overriding the two-pass methods — or
-        the augmentation hooks the fused path substitutes — would train
-        with the parent's formulas on the fused path only; those cohorts
-        step per round instead.
-        """
-
-        def defining_class(name):
-            for klass in type(model).__mro__:
-                if name in vars(klass):
-                    return klass
-            return None
-
-        owner = defining_class("loss_and_gradient_stack")
-        if owner is Model:
-            return None  # delegating implementation: overrides are honoured
-        checked = ["gradient_stack", "loss_stack"]
-        if model.supports_augmented_stack:
-            checked += ["augment_features", "_augment_stack"]
-        for name in checked:
-            if defining_class(name) is not owner:
-                return (
-                    f"model {type(model).__name__} overrides {name} but "
-                    f"inherits {owner.__name__}.loss_and_gradient_stack"
-                )
         return None
 
     @property
@@ -298,120 +168,14 @@ class RoundEngine:
     @property
     def cohort_model(self) -> Model:
         """The model the cohort computes (and the engine records) with."""
-        return self._workers[0]._model
-
-    # ------------------------------------------------------------------
-    # buffers
-    # ------------------------------------------------------------------
+        return self._cohort.model
 
     def _ensure_buffers(self) -> None:
-        if self._buffers_ready:
-            return
-        workers = self._workers
-        num_honest = len(workers)
-        dimension = int(self._server.parameters_view.shape[0])
-        batch_size = workers[0]._sampler.batch_size
-        first = workers[0]._sampler.dataset
-        n = num_honest + self._num_byzantine
-
-        self._dimension = dimension
-        self._batch_size = batch_size
-        self._model = workers[0]._model
-        self._all_gradients = np.zeros((n, dimension), dtype=np.float64)
-        # Shared-dataset cohorts (the paper's "shared" distribution)
-        # gather all workers' batches with one indexed take.  The take
-        # runs with ``mode='clip'`` into preallocated buffers: sampler
-        # indices are always in range, so clipping is value-identical,
-        # and it selects take's unbuffered fast path (the default
-        # ``mode='raise'`` with ``out=`` is ~3x slower) while keeping
-        # the gather target cache-warm across rounds.
-        self._shared_dataset = (
-            first
-            if all(w._sampler.dataset is first for w in workers)
-            else None
-        )
-        # Linear-family models: append the bias column to each dataset
-        # once, so no round re-concatenates it (the gathered rows are
-        # bit-identical to augmenting the gathered raw rows).
-        self._augmented = bool(self._model.supports_augmented_stack)
-        if self._augmented:
-            caches: dict[int, np.ndarray] = {}
-            self._feature_sources = []
-            for worker in workers:
-                dataset = worker._sampler.dataset
-                key = id(dataset)
-                if key not in caches:
-                    caches[key] = self._model.augment_features(dataset.features)
-                self._feature_sources.append(caches[key])
-            self._raw_feature_width = int(first.features.shape[1])
-        else:
-            self._feature_sources = [w._sampler.dataset.features for w in workers]
-            self._raw_feature_width = None
-        self._label_sources = [w._sampler.dataset.labels for w in workers]
-        self._features_buf = np.empty(
-            (num_honest, batch_size) + self._feature_sources[0].shape[1:],
-            dtype=self._feature_sources[0].dtype,
-        )
-        self._labels_buf = np.empty(
-            (num_honest, batch_size) + first.labels.shape[1:],
-            dtype=first.labels.dtype,
-        )
-        self._have_batches = False
-        self._g_max = np.array(
-            [np.inf if w._g_max is None else w._g_max for w in workers]
-        )
-        self._momenta = np.array([w._momentum for w in workers])
-        self._momentum_mask = self._momenta > 0.0
-        self._any_momentum = bool(self._momentum_mask.any())
-        self._all_momentum = bool(self._momentum_mask.all())
-        self._noised_indices = [
-            index for index, w in enumerate(workers) if w._mechanism is not None
-        ]
-        self._all_noised = len(self._noised_indices) == num_honest
-        self._any_noised = bool(self._noised_indices)
-        if self._any_momentum:
-            self._velocity_submitted = np.zeros((num_honest, dimension))
-            self._velocity_clean = np.zeros((num_honest, dimension))
-            self._momenta_col = self._momenta[:, None]
-        self._buffers_ready = True
-
-    def _reset_absent_momentum(self, absent) -> None:
-        """Zero absent workers' rows of the momentum stacks (the fused
-        counterpart of clearing their per-worker buffers)."""
-        if self._any_momentum and absent:
-            rows = sorted(absent)
-            self._velocity_submitted[rows] = 0.0
-            self._velocity_clean[rows] = 0.0
-
-    def _import_velocities(self) -> None:
-        """Load the workers' live momentum buffers into the stacks."""
-        for index, worker in enumerate(self._workers):
-            if not self._momentum_mask[index]:
-                continue
-            if worker._velocity_submitted is None:
-                self._velocity_submitted[index] = 0.0
-                self._velocity_clean[index] = 0.0
-            else:
-                self._velocity_submitted[index] = worker._velocity_submitted
-                self._velocity_clean[index] = worker._velocity_clean
-
-    def _export_state(self) -> None:
-        """Write engine-held per-worker state back onto the workers."""
-        for index, worker in enumerate(self._workers):
-            if self._any_momentum and self._momentum_mask[index]:
-                worker._velocity_submitted = self._velocity_submitted[index].copy()
-                worker._velocity_clean = self._velocity_clean[index].copy()
-            if self._have_batches:
-                # The gather buffers are reused next round, so the
-                # workers get copies; on the augmented path the bias
-                # column is sliced back off.
-                features = self._features_buf[index]
-                if self._augmented:
-                    features = features[:, : self._raw_feature_width]
-                worker._last_batch = (
-                    features.copy(),
-                    self._labels_buf[index].copy(),
-                )
+        if self._all_gradients is None:
+            self._all_gradients = np.zeros(
+                (self._num_honest + self._num_byzantine, self._dimension),
+                dtype=np.float64,
+            )
 
     # ------------------------------------------------------------------
     # execution
@@ -460,7 +224,7 @@ class RoundEngine:
                 "pass model=None or the workers' model"
             )
         self._ensure_buffers()
-        workers = self._workers
+        cohort = self._cohort
         cluster = self._cluster_ref()
         if cluster is None:
             raise ConfigurationError("the engine's cluster no longer exists")
@@ -470,16 +234,8 @@ class RoundEngine:
         telemetry = cluster._telemetry
         phase_acc: dict | None = {} if telemetry is not None else None
         if block_size is None:
-            block_size = default_block_rounds(
-                len(workers),
-                self._dimension,
-                self._batch_size,
-                len(self._noised_indices),
-            )
-        if self._any_momentum:
-            self._import_velocities()
-        index_blocks = [None] * len(workers)
-        noise_blocks = [None] * len(workers)
+            block_size = cohort.block_rounds()
+        cohort.import_velocities()
         result = None
         remaining = int(num_rounds)
         self._rounds_executed = 0
@@ -508,7 +264,7 @@ class RoundEngine:
             while remaining > 0:
                 rounds = min(remaining, block_size)
                 if telemetry is not None:
-                    self._clip_hits = 0
+                    cohort.clip_hits = 0
                     self._winner_rounds = 0
                     self._byzantine_rounds = 0
                     self._dropped_before = getattr(
@@ -518,25 +274,8 @@ class RoundEngine:
                     predraw_started = time.perf_counter_ns()
                 # Blockwise pre-draw: every worker's private streams are
                 # consumed exactly as the per-round path would, just all
-                # at once (see module docstring).
-                for index, worker in enumerate(workers):
-                    index_blocks[index] = worker._sampler.sample_index_block(rounds)
-                    if worker._mechanism is not None:
-                        noise_blocks[index] = worker._mechanism.sample_noise_block(
-                            rounds, self._dimension, worker._noise_rng
-                        )
-                if self._shared_dataset is not None:
-                    # (R, W, b): round r's whole-cohort gather is one
-                    # fancy index with block_indices[r].
-                    block_indices = np.stack(index_blocks, axis=1)
-                else:
-                    block_indices = None
-                if self._all_noised:
-                    # (R, W, d): round r's cohort noise is one slice, so
-                    # the round loop adds it with a single ufunc call.
-                    noise_stack = np.stack(noise_blocks, axis=1)
-                else:
-                    noise_stack = None
+                # at once (see repro.distributed.cohort).
+                cohort.predraw(rounds)
                 if phase_acc is not None:
                     # The block pre-draw IS the round's sampling/noise
                     # RNG work, amortised: charge it to its own phase.
@@ -547,11 +286,6 @@ class RoundEngine:
                     is_last = remaining == rounds and r == rounds - 1
                     round_result = self._fused_round(
                         cluster,
-                        index_blocks,
-                        block_indices,
-                        noise_blocks,
-                        noise_stack,
-                        r,
                         pending_losses if history is not None else None,
                         record=record,
                         build_result=is_last,
@@ -571,7 +305,8 @@ class RoundEngine:
             # never records the diverging round's loss).
             flush_losses()
             if self._rounds_executed > 0:
-                self._export_state()
+                cohort.export_state()
+            cohort.release_block()
         return result
 
     def _emit_block_telemetry(
@@ -588,8 +323,8 @@ class RoundEngine:
             telemetry.span_ns(name, phase_acc[name], rounds=rounds)
         phase_acc.clear()
         telemetry.counter("rounds", rounds)
-        if self._clip_hits:
-            telemetry.counter("clip.activations", self._clip_hits)
+        if self._cohort.clip_hits:
+            telemetry.counter("clip.activations", self._cohort.clip_hits)
         if self._winner_rounds:
             telemetry.counter("gar.winner_rounds", self._winner_rounds)
         if self._byzantine_rounds:
@@ -605,106 +340,25 @@ class RoundEngine:
     def _fused_round(
         self,
         cluster,
-        index_blocks,
-        block_indices,
-        noise_blocks,
-        noise_stack,
-        r: int,
         pending_losses: list | None,
         record: bool,
         build_result: bool,
         telemetry=None,
         phase_acc: dict | None = None,
     ):
-        workers = self._workers
         server = self._server
-        num_honest = len(workers)
+        num_honest = self._num_honest
         cluster._step += 1
         self._rounds_executed += 1
         step = cluster._step
         parameters = server.parameters_view
         lap = _PhaseLap(phase_acc) if phase_acc is not None else None
 
-        # Batch gather into the warm preallocated buffers: one indexed
-        # take for the whole cohort on shared data, per-worker takes on
-        # sharded data.  Sources carry the pre-appended bias column
-        # when the model supports it; ``mode='clip'`` is exact for the
-        # always-in-range sampler indices (see ``_ensure_buffers``).
-        features = self._features_buf
-        labels = self._labels_buf
-        if block_indices is not None:
-            round_indices = block_indices[r]
-            np.take(
-                self._feature_sources[0], round_indices, axis=0,
-                out=features, mode="clip",
-            )
-            np.take(
-                self._label_sources[0], round_indices, axis=0,
-                out=labels, mode="clip",
-            )
-        else:
-            for index in range(num_honest):
-                np.take(
-                    self._feature_sources[index], index_blocks[index][r], axis=0,
-                    out=features[index], mode="clip",
-                )
-                np.take(
-                    self._label_sources[index], index_blocks[index][r], axis=0,
-                    out=labels[index], mode="clip",
-                )
-        self._have_batches = True
-        if lap is not None:
-            lap.mark("round.sample")
-
-        # Forward/backward: one shared pass for the round's loss and
-        # cohort gradients.
-        if self._augmented:
-            losses, gradients = self._model.loss_and_gradient_stack(
-                parameters, features, labels, augmented=True
-            )
-        else:
-            losses, gradients = self._model.loss_and_gradient_stack(
-                parameters, features, labels
-            )
-        clean = np.asarray(gradients, dtype=np.float64)
-
-        # Batched clip — the identical operations compute_cohort runs.
-        norms = np.sqrt(np.einsum("wd,wd->w", clean, clean))
-        exceeds = norms > self._g_max
-        if exceeds.any():
-            clean[exceeds] *= (self._g_max[exceeds] / norms[exceeds])[:, None]
-            if lap is not None:
-                self._clip_hits += int(np.count_nonzero(exceeds))
-        if lap is not None:
-            lap.mark("round.cohort")
-
-        # DP noise from the pre-drawn block, written straight into the
-        # wire matrix (rows without a mechanism carry the clean row).
+        # The cohort half: gather, loss/gradient, clip, noise and
+        # momentum, with the submitted rows written straight into the
+        # wire matrix.
         submitted = self._all_gradients[:num_honest]
-        if noise_stack is not None:
-            np.add(clean, noise_stack[r], out=submitted)
-        else:
-            submitted[:] = clean
-            for index in self._noised_indices:
-                np.add(clean[index], noise_blocks[index][r], out=submitted[index])
-        if lap is not None:
-            lap.mark("round.noise")
-
-        # Momentum on the persistent stacks (v <- m v; v <- v + g).
-        if self._any_momentum:
-            self._velocity_submitted *= self._momenta_col
-            self._velocity_submitted += submitted
-            self._velocity_clean *= self._momenta_col
-            self._velocity_clean += clean
-            if self._all_momentum:
-                submitted[:] = self._velocity_submitted
-                clean[:] = self._velocity_clean
-            else:
-                mask = self._momentum_mask
-                submitted[mask] = self._velocity_submitted[mask]
-                clean[mask] = self._velocity_clean[mask]
-            if lap is not None:
-                lap.mark("round.momentum")
+        clean, losses = self._cohort.compute(parameters, submitted, lap)
 
         # Wire codec: encode the honest block in place (identity's
         # block fast path returns the same object, so the no-codec and
@@ -730,7 +384,7 @@ class RoundEngine:
                 step,
                 submitted,
                 clean,
-                self._reset_absent_momentum,
+                self._cohort.reset_absent_momentum,
                 row_bytes,
                 telemetry,
             )

@@ -3,17 +3,24 @@
 A *shard* is one OS process owning a contiguous slice of the honest
 cohort (one worker per process in the default process-per-worker
 layout).  Each round it copies the parameters from the wire plane, runs
-the exact in-process cohort pipeline (:func:`compute_cohort` — batch
-sampling, stacked gradient, clip, DP noise, momentum) on its own
-workers, scores their sampled batches at the pre-update parameters, and
-writes its rows of the wire/clean/loss arrays.
+the in-process engine's fused cohort kernel
+(:class:`repro.distributed.cohort.FusedCohort` — batch gather from a
+pre-drawn block of indices, one shared loss/gradient pass, clip, DP
+noise from a pre-drawn block, momentum) on its own workers, and writes
+its rows of the wire/clean/loss arrays.  A cohort the kernel does not
+cover (for example ``clip_mode="per_example"``) runs the per-round
+:func:`compute_cohort` instead and scores its sampled batches
+separately; the ``shard.start`` telemetry mark records which path ran,
+and why.
 
 Bit-identity with the in-process engine rests on two facts:
 
 * seed streams are *path-addressed* (:class:`repro.rng.SeedTree`), so a
   shard rebuilding ``("worker", i, "batch")`` / ``("worker", i,
   "noise")`` from the root seed draws exactly the in-process streams,
-  in the same order, regardless of which process consumes them;
+  in the same order, regardless of which process consumes them — and
+  because they are private to the shard process, draws a block
+  pre-draw leaves unused at shutdown are harmless;
 * the stacked cohort kernels are row-stable: every per-worker quantity
   (batch gradient, clip rescale, noise add, momentum update, batch
   loss) is computed by per-row reductions whose float evaluation order
@@ -45,6 +52,7 @@ import numpy as np
 from repro.compression.base import GradientCodec
 from repro.data.batching import BatchSampler
 from repro.data.datasets import Dataset
+from repro.distributed.cohort import FusedCohort
 from repro.distributed.runtime.wire import PlaneSpec, WirePlane
 from repro.distributed.worker import CLIP_MODES, HonestWorker, compute_cohort
 from repro.exceptions import ConfigurationError
@@ -99,9 +107,8 @@ class WorkerShardSpec:
     fail_mode: str = "die"
     #: Respawn support: a shard spawned with ``start_step > 0`` fast
     #: forwards its workers' seed streams through the missed rounds
-    #: ``1..start_step`` (one ``compute_cohort`` pass per round — the
-    #: draws are value-independent, so zero parameters suffice) and
-    #: resets momentum, so its first served round is bit-identical to a
+    #: ``1..start_step`` (see :func:`_fast_forward`) and starts from
+    #: zero momentum, so its first served round is bit-identical to a
     #: shard that lived through the outage in-process.
     start_step: int = 0
     #: ``(step, factor)`` pairs from the fault plan's ``slow`` events:
@@ -219,15 +226,32 @@ def shard_main(
             if spec.fail_step == 0:
                 _inject_failure(spec)
             workers = spec.build_workers()
+            dimension = int(plane.parameters.shape[0])
+            # The probe is a handful of attribute checks; the kernel's
+            # buffers are built on the first round, after the join, so
+            # the chief's start-up never waits on them.
+            cohort = FusedCohort(workers, dimension)
+            fused = cohort.reason is None
             if spec.start_step > 0:
-                _fast_forward(spec, workers, plane)
+                _fast_forward(spec, workers, cohort if fused else None, plane)
             rows = spec.rows
             if telemetry is not None:
+                path = (
+                    {"cohort": "fused"}
+                    if fused
+                    else {"cohort": "per-round", "reason": cohort.reason}
+                )
                 telemetry.mark(
-                    "shard.start", pid=os.getpid(), workers=list(spec.worker_ids)
+                    "shard.start",
+                    pid=os.getpid(),
+                    workers=list(spec.worker_ids),
+                    **path,
                 )
                 telemetry.flush()
             results.put(("join", spec.shard_id, os.getpid()))
+            if fused:
+                submitted = np.empty((len(workers), dimension))
+                block_rounds = cohort.block_rounds()
             while True:
                 command = commands.get()
                 if command[0] == "stop":
@@ -241,8 +265,14 @@ def shard_main(
                 # Copy the chief-published parameters out of shared
                 # memory: float64 bits survive the round trip untouched.
                 parameters = np.array(plane.parameters)
-                submitted, clean = compute_cohort(workers, parameters, step)
-                losses = _batch_losses(spec.model, parameters, workers)
+                if fused:
+                    if cohort.rounds_left == 0:
+                        cohort.predraw(block_rounds)
+                    clean, losses = cohort.compute(parameters, submitted)
+                    wire_rows = submitted
+                else:
+                    wire_rows, clean = compute_cohort(workers, parameters, step)
+                    losses = _batch_losses(spec.model, parameters, workers)
                 for slow_step, factor in spec.slow_steps:
                     if slow_step == step:
                         time.sleep(0.01 * factor)
@@ -251,11 +281,11 @@ def shard_main(
                     # in-process path — the codec's per-message streams
                     # make the shard's rows bit-identical to the
                     # chief-side whole-cohort encode.
-                    submitted, row_bytes = spec.codec.encode_block(
-                        submitted, step, spec.worker_ids
+                    wire_rows, row_bytes = spec.codec.encode_block(
+                        wire_rows, step, spec.worker_ids
                     )
                     plane.wire_bytes[rows] = row_bytes
-                plane.wire[rows] = submitted
+                plane.wire[rows] = wire_rows
                 plane.clean[rows] = clean
                 plane.losses[rows] = losses
                 if telemetry is not None:
@@ -285,17 +315,25 @@ def shard_main(
             pass
 
 
-def _fast_forward(spec: WorkerShardSpec, workers, plane: WirePlane) -> None:
+def _fast_forward(
+    spec: WorkerShardSpec, workers, cohort: FusedCohort | None, plane: WirePlane
+) -> None:
     """Replay the seed-stream consumption of rounds ``1..start_step``.
 
-    ``compute_cohort`` draws exactly one batch per worker and one noise
-    vector per DP worker per round, independent of any values, so one
-    pass per missed round at zero parameters advances every stream to
-    where the in-process run left it.  Momentum is then reset: a worker
-    absent through the outage accumulated none (the in-process engine
-    zeroes its buffers each absent round), and ``None`` buffers restart
-    the ``v <- m*v + g`` recursion from the same all-zeros base.
+    A round draws exactly one batch per worker and one noise vector per
+    DP worker, independent of any values.  With the fused kernel the
+    missed rounds' indices and noise are drawn and discarded through
+    its block pre-draw, skipping every gradient; its momentum stacks
+    start at zero.  Otherwise one ``compute_cohort`` pass per missed
+    round at zero parameters advances the streams, and momentum is then
+    reset.  Either way a worker absent through the outage accumulated
+    no momentum (the in-process engine zeroes its buffers each absent
+    round), so the ``v <- m*v + g`` recursion restarts from the same
+    all-zeros base.
     """
+    if cohort is not None:
+        cohort.skip(spec.start_step)
+        return
     zeros = np.zeros_like(np.asarray(plane.parameters))
     for step in range(1, spec.start_step + 1):
         compute_cohort(workers, zeros, step)

@@ -34,10 +34,11 @@ cleanup path; the hook is the backstop.
 from __future__ import annotations
 
 import atexit
+import os
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,9 @@ from repro.exceptions import ConfigurationError
 __all__ = ["PlaneSpec", "WirePlane", "SEGMENT_PREFIX", "wire_segment_names"]
 
 #: Prefix of every wire-plane shared-memory segment name.  Kept short:
-#: POSIX shared-memory names are length-limited on some platforms.
+#: POSIX shared-memory names are length-limited on some platforms (31
+#: characters with the leading slash); a generated name is
+#: ``rpwire-<pid>-<12 hex>``, at most 28.
 SEGMENT_PREFIX = "rpwire"
 
 _FLOAT = np.dtype(np.float64)
@@ -75,6 +78,14 @@ def _register_active(plane: "WirePlane") -> None:
     _ACTIVE_PLANES.add(plane)
 
 
+def _discard_segment(name: str) -> None:
+    """Unlink segment ``name`` if it exists (an interrupted creation)."""
+    try:
+        shared_memory._posixshmem.shm_unlink(f"/{name}")
+    except FileNotFoundError:
+        pass
+
+
 @contextmanager
 def _untracked_shared_memory():
     """Suppress resource-tracker registration while attaching a segment.
@@ -90,8 +101,6 @@ def _untracked_shared_memory():
     registration alive — the creating chief's — which is what makes the
     tracker the second backstop behind :func:`_cleanup_active_planes`.
     """
-    from multiprocessing import resource_tracker
-
     original = resource_tracker.register
 
     def register(name, rtype):  # pragma: no cover - trivial shim
@@ -105,17 +114,20 @@ def _untracked_shared_memory():
         resource_tracker.register = original
 
 
-def wire_segment_names() -> list[str]:
+def wire_segment_names(pid: int | None = None) -> list[str]:
     """Names of wire-plane segments currently present in ``/dev/shm``.
 
     The leak-detection hook for tests and post-mortems; returns an
     empty list on platforms without a ``/dev/shm`` filesystem (where
     the same named segments exist but are not enumerable as files).
+    ``pid`` keeps only the segments that process created, so a check
+    is not confused by other runs on the same host.
     """
     shm_dir = Path("/dev/shm")
     if not shm_dir.is_dir():
         return []
-    return sorted(p.name for p in shm_dir.glob(f"{SEGMENT_PREFIX}-*"))
+    pattern = f"{SEGMENT_PREFIX}-*" if pid is None else f"{SEGMENT_PREFIX}-{pid}-*"
+    return sorted(p.name for p in shm_dir.glob(pattern))
 
 
 @dataclass(frozen=True)
@@ -176,26 +188,51 @@ class WirePlane:
 
     @classmethod
     def create(cls, num_honest: int, dimension: int, session: str | None = None) -> "WirePlane":
-        """Create (and own) a zero-initialised plane for ``H`` workers."""
+        """Create (and own) a zero-initialised plane for ``H`` workers.
+
+        The generated session name starts with the creating process's
+        pid (see :func:`wire_segment_names`).
+        """
         if num_honest < 1:
             raise ConfigurationError(f"num_honest must be >= 1, got {num_honest}")
         if dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
         spec = PlaneSpec(
-            session=session if session is not None else uuid.uuid4().hex[:12],
+            session=(
+                session
+                if session is not None
+                else f"{os.getpid()}-{uuid.uuid4().hex[:12]}"
+            ),
             num_honest=int(num_honest),
             dimension=int(dimension),
         )
-        segment = shared_memory.SharedMemory(
-            name=spec.segment_name, create=True, size=spec.size_bytes
-        )
-        plane = cls(spec, segment, owner=True)
-        plane._wire[:] = 0.0
-        plane._clean[:] = 0.0
-        plane._losses[:] = 0.0
-        plane._wire_bytes[:] = 0.0
-        plane._parameters[:] = 0.0
-        _register_active(plane)
+        # Start the resource tracker before the segment exists:
+        # SharedMemory registers a new segment with it only after
+        # creating it, and launching the tracker there opens a window of
+        # tens of milliseconds in which an interrupt (SIGINT) would
+        # leave the segment behind, owned by nobody.
+        resource_tracker.ensure_running()
+        try:
+            segment = shared_memory.SharedMemory(
+                name=spec.segment_name, create=True, size=spec.size_bytes
+            )
+        except FileExistsError:
+            raise  # another process's segment: never unlink it
+        except BaseException:
+            _discard_segment(spec.segment_name)
+            raise
+        try:
+            plane = cls(spec, segment, owner=True)
+            plane._wire[:] = 0.0
+            plane._clean[:] = 0.0
+            plane._losses[:] = 0.0
+            plane._wire_bytes[:] = 0.0
+            plane._parameters[:] = 0.0
+            _register_active(plane)
+        except BaseException:
+            segment.close()
+            segment.unlink()
+            raise
         return plane
 
     @classmethod

@@ -9,6 +9,8 @@ methods: exit-code propagation into the departure reason, zero leaked
 ``/dev/shm`` wire segments after shutdown, and the membership log.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ class TestRespawn:
         experiment = make_experiment(faults=plan)
         with pytest.raises(DegradedRunError, match="every honest worker"):
             experiment.run()
-        assert wire_segment_names() == []  # error path releases the plane
+        assert wire_segment_names(pid=os.getpid()) == []  # error path releases the plane
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -118,7 +120,7 @@ class TestStartMethods:
             # The hung shard was SIGKILLed by the chief's round timeout.
             assert runtime.departed == {1: "round timed out"}
             assert runtime.departed_workers == [2, 3]
-        assert wire_segment_names() == []
+        assert wire_segment_names(pid=os.getpid()) == []
 
     def test_crash_exit_code_propagates(self, start_method, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", start_method)
@@ -134,7 +136,7 @@ class TestStartMethods:
             assert runtime.departed == {
                 1: f"process died (code {CRASH_EXIT_CODE})"
             }
-        assert wire_segment_names() == []
+        assert wire_segment_names(pid=os.getpid()) == []
 
     def test_crash_rejoin_parity_across_start_methods(
         self, start_method, monkeypatch

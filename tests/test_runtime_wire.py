@@ -9,6 +9,7 @@ part) that abnormal exits — an uncaught exception, a SIGINT mid
 """
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -70,6 +71,16 @@ def test_create_attach_roundtrip_bits():
     assert owner.closed
 
 
+def test_generated_name_carries_creator_pid():
+    with WirePlane.create(2, 3) as plane:
+        name = plane.spec.segment_name
+        assert name.startswith(f"{SEGMENT_PREFIX}-{os.getpid()}-")
+        # POSIX shared-memory names: at most 31 characters with the "/".
+        assert len(name) + 1 <= 31
+        assert wire_segment_names(pid=os.getpid()) == [name]
+        assert wire_segment_names(pid=os.getpid() + 1) == []
+
+
 def test_close_unlinks_and_is_idempotent():
     plane = WirePlane.create(2, 3)
     name = plane.spec.segment_name
@@ -107,13 +118,11 @@ def test_atexit_backstop_unlinks_on_crash():
     assert name not in wire_segment_names()
 
 
-@pytest.mark.slow
-def test_sigint_mid_run_leaves_no_segments(tmp_path):
-    """``python -m repro run`` killed by SIGINT releases every segment.
+def _interrupt_run(tmp_path, poll_seconds: float) -> tuple[int, int]:
+    """Start a long multiprocess ``python -m repro run``, SIGINT it
+    once its wire segment exists; returns ``(returncode, pid)``.
 
-    Uses a run long enough that the interrupt lands mid-training, and
-    waits for the wire segment to exist before signalling so the
-    interrupt exercises the teardown path, not the startup path.
+    The segment is looked for every ``poll_seconds``.
     """
     config = {
         "configs": [
@@ -133,7 +142,6 @@ def test_sigint_mid_run_leaves_no_segments(tmp_path):
     }
     config_path = tmp_path / "long.json"
     config_path.write_text(json.dumps(config))
-    before = set(wire_segment_names())
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", str(config_path)],
         stdout=subprocess.DEVNULL,
@@ -143,11 +151,11 @@ def test_sigint_mid_run_leaves_no_segments(tmp_path):
     try:
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
-            if set(wire_segment_names()) - before:
+            if wire_segment_names(pid=process.pid):
                 break
             if process.poll() is not None:
                 pytest.fail(f"run exited early with {process.returncode}")
-            time.sleep(0.1)
+            time.sleep(poll_seconds)
         else:
             pytest.fail("wire segment never appeared")
         process.send_signal(signal.SIGINT)
@@ -156,5 +164,28 @@ def test_sigint_mid_run_leaves_no_segments(tmp_path):
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+    return returncode, process.pid
+
+
+@pytest.mark.slow
+def test_sigint_mid_run_leaves_no_segments(tmp_path):
+    """``python -m repro run`` killed by SIGINT releases every segment.
+
+    Uses a run long enough that the interrupt lands mid-training, and
+    waits for the wire segment to exist before signalling so the
+    interrupt exercises the teardown path, not the startup path.  Only
+    segments carrying the child's pid are watched, so wire planes other
+    processes on the host create and release meanwhile cannot fail it.
+    """
+    returncode, pid = _interrupt_run(tmp_path, poll_seconds=0.1)
     assert returncode == 130
-    assert set(wire_segment_names()) - before == set()
+    assert wire_segment_names(pid=pid) == []
+
+
+@pytest.mark.slow
+def test_sigint_while_creating_the_plane_leaves_no_segment(tmp_path):
+    """An interrupt the moment the segment appears — while the plane is
+    still being created and registered — releases it too."""
+    returncode, pid = _interrupt_run(tmp_path, poll_seconds=0.0005)
+    assert returncode == 130
+    assert wire_segment_names(pid=pid) == []
